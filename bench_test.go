@@ -22,6 +22,7 @@ import (
 	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
+	"busprefetch/internal/trace"
 	"busprefetch/internal/workload"
 )
 
@@ -258,7 +259,7 @@ func BenchmarkSimulator(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg, tr); err != nil {
+		if _, err := sim.RunSource(cfg, trace.FromTrace(tr)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,12 +279,16 @@ func BenchmarkObsOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: 1})
+	src, _, err := w.Source(workload.Params{Scale: 0.2, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
-	tr, err := prefetch.Annotate(base, prefetch.Options{Strategy: prefetch.PREF, Geometry: cfg.Geometry})
+	annotated, err := prefetch.AnnotateSource(src, prefetch.Options{Strategy: prefetch.PREF, Geometry: cfg.Geometry}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := trace.Materialize(annotated)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,7 +304,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runCfg := cfg
 				runCfg.Obs = bc.rec()
-				if _, err := sim.Run(runCfg, tr); err != nil {
+				if _, err := sim.RunSource(runCfg, trace.FromTrace(tr)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -341,7 +346,7 @@ func BenchmarkOnlineOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runCfg := cfg
 				runCfg.Online = bc.online
-				if _, err := sim.Run(runCfg, tr); err != nil {
+				if _, err := sim.RunSource(runCfg, trace.FromTrace(tr)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -350,7 +355,8 @@ func BenchmarkOnlineOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAnnotate measures offline prefetch-insertion throughput.
+// BenchmarkAnnotate measures offline prefetch-insertion throughput: the
+// PWS sharing pre-pass plus the streaming annotator, drained to the end.
 func BenchmarkAnnotate(b *testing.B) {
 	w, err := workload.ByName("pverify")
 	if err != nil {
@@ -363,7 +369,11 @@ func BenchmarkAnnotate(b *testing.B) {
 	geom := memory.DefaultGeometry()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prefetch.Annotate(tr, prefetch.Options{Strategy: prefetch.PWS, Geometry: geom}); err != nil {
+		annotated, err := prefetch.AnnotateSource(trace.FromTrace(tr), prefetch.Options{Strategy: prefetch.PWS, Geometry: geom}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := trace.CountEvents(annotated); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,11 @@
 //	PWS   as PREF, plus redundant prefetches of write-shared lines chosen
 //	      by a 16-line associative temporal-locality filter.
 //
+// AnnotateSource is the one production annotator: it streams a trace
+// source through the oracle in bounded memory (source.go). The materialized
+// annotator it replaced survives only in the package tests, as the
+// independent reference AnnotateSource is checked against event for event.
+//
 // The oracle is one implementation of the pluggable Prefetcher interface
 // (engine.go). Beside it sit three online engines — stride, temporal
 // (SISB-style), and pointer-chase — that train on the demand stream during

@@ -26,6 +26,16 @@ func generateAll(t *testing.T) map[string]*trace.Trace {
 	return traces
 }
 
+// annotate runs p's production annotator over a materialized trace and
+// materializes its output.
+func annotate(p prefetch.Prefetcher, tr *trace.Trace, opt prefetch.Options) (*trace.Trace, error) {
+	src, err := p.AnnotateSource(trace.FromTrace(tr), opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Materialize(src)
+}
+
 // demandOnly strips a stream to its demand references.
 func demandOnly(s trace.Stream) []trace.Event {
 	var out []trace.Event
@@ -43,7 +53,7 @@ func demandOnly(s trace.Stream) []trace.Event {
 func TestAnnotatePreservesDemandStream(t *testing.T) {
 	for name, base := range generateAll(t) {
 		for _, st := range prefetch.Strategies() {
-			annotated, err := prefetch.Annotate(base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
+			annotated, err := annotate(prefetch.ByKind(prefetch.Oracle), base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, st, err)
 			}
@@ -89,11 +99,11 @@ func TestAnnotatePreservesDemandStream(t *testing.T) {
 func TestMissRateOrdering(t *testing.T) {
 	for name, base := range generateAll(t) {
 		for _, st := range prefetch.Strategies() {
-			annotated, err := prefetch.Annotate(base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
+			annotated, err := annotate(prefetch.ByKind(prefetch.Oracle), base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, st, err)
 			}
-			res, err := sim.Run(sim.DefaultConfig(), annotated)
+			res, err := sim.RunSource(sim.DefaultConfig(), trace.FromTrace(annotated))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, st, err)
 			}

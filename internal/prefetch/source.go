@@ -8,19 +8,25 @@ import (
 	"busprefetch/internal/trace"
 )
 
-// AnnotateSource is Annotate over a streaming trace.Source: it returns
-// a Source whose streams carry the same prefetch insertions, in the
-// same positions, as Annotate would produce on the materialized trace —
-// byte-identical by construction — without materializing either the
-// input or the output.
+// AnnotateSource returns a Source whose streams are src's with prefetch
+// instructions inserted according to the options, without materializing
+// either the input or the output.
 //
-// The oracle algorithm needs bounded lookback, not whole-stream
-// access: an insertion for event i lands at placeBefore(i), which is at
-// most `distance` events earlier (every event costs at least one
-// estimated cycle), and placeBefore is monotone in i (estimated start
-// times strictly increase). So a sliding window of the last ~distance
-// events suffices, and insertions emerge already ordered by
-// (position, target order), exactly the order Annotate's sort yields.
+// For every demand access the uniprocessor filter cache predicts to miss
+// (plus, under PWS, every write-shared access the PWS filter predicts to
+// miss), a prefetch of its address is placed before the latest event
+// whose estimated start — every access assumed to hit, Gap+1 cycles per
+// event — is at least the prefetch distance ahead of the access, or at
+// the stream's start when none is. Insertions at one position keep the
+// order of their target accesses, so earlier-needed data is requested
+// first. EXCL turns the prefetches of predicted write misses exclusive.
+//
+// The oracle needs bounded lookback, not whole-stream access: an
+// insertion for event i lands at most `distance` events earlier (every
+// event costs at least one estimated cycle), and the insertion point is
+// monotone in i (estimated start times strictly increase). So a sliding
+// window of the last ~distance events suffices, and insertions emerge
+// already in (position, target order).
 //
 // PWS and ExcludeWriteShared need the whole-trace write-shared line
 // set. When prof is non-nil it is used directly (it must have been
@@ -29,7 +35,7 @@ import (
 // it.
 //
 // With Strategy NP src itself is returned: sources are read-only, so
-// the defensive clone Annotate performs is unnecessary.
+// there is nothing to copy.
 func AnnotateSource(src trace.Source, opt Options, prof *trace.SharingProfile) (trace.Source, error) {
 	if err := opt.Geometry.Validate(); err != nil {
 		return nil, err
@@ -78,7 +84,7 @@ func (s *oracleSource) Events(proc int) trace.Iterator {
 
 // annRing is a growable power-of-two ring buffer holding the
 // not-yet-final window of events. Events and their estimated start cycles
-// live in parallel arrays: the monotone placeBefore scan touches only
+// live in parallel arrays: the monotone insertion-point scan touches only
 // starts, and final events bulk-copy straight out of the event array.
 type annRing struct {
 	evs    []trace.Event
@@ -137,12 +143,9 @@ type pendingIns struct {
 // the ring's initial capacity.
 const annEmitBatch = 256
 
-// annotateStreaming replays annotateStream's algorithm over an event
-// stream with an incremental miss filter and a bounded window. The
-// emitted sequence is identical to annotateStream's: start times are
-// computed by the same clock, misses by the same filter fed in the
-// same order, and insertions land at the same placeBefore positions in
-// the same relative order.
+// annotateStreaming runs the oracle over one processor's event stream
+// with an incremental miss filter and a bounded window, handing finished
+// chunks to flush.
 func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) bool, flush func([]trace.Event) []trace.Event) error {
 	mainF := filter.NewCache(opt.Geometry)
 	var pwsF *filter.Cache
@@ -165,7 +168,7 @@ func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) 
 	var clock uint64
 	idx := 0     // absolute index of the event being processed
 	flushed := 0 // absolute index of the first not-yet-emitted position
-	place := 0   // monotone placeBefore pointer: last j with start[j] <= want
+	place := 0   // monotone insertion point: last j with start[j] <= want
 
 	// emitRun pops k final window events, bulk-copying contiguous ring
 	// spans — the common case between insertion positions.
@@ -283,36 +286,4 @@ func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) 
 	emitFinal(idx)
 	flush(out)
 	return nil
-}
-
-// OverheadSource reports the annotation's instruction overhead —
-// prefetch events per demand reference — by draining src once.
-func OverheadSource(src trace.Source) (float64, error) {
-	var pref, demand int
-	for p := 0; p < src.Procs(); p++ {
-		it := src.Events(p)
-		for {
-			chunk, err := it.Next()
-			if err != nil {
-				it.Close()
-				return 0, err
-			}
-			if chunk == nil {
-				break
-			}
-			for _, e := range chunk {
-				switch {
-				case e.Kind.IsPrefetch():
-					pref++
-				case e.Kind.IsDemand():
-					demand++
-				}
-			}
-		}
-		it.Close()
-	}
-	if demand == 0 {
-		return 0, nil
-	}
-	return float64(pref) / float64(demand), nil
 }

@@ -90,7 +90,7 @@ func (s *ResultStore) Len() int {
 // makes to clients. Cancellations are likewise evicted so the next caller
 // recomputes instead of inheriting a dead context's failure, and a waiter
 // whose own ctx fires bails with ctx.Err() while the in-flight computation
-// proceeds for everyone else. Mirrors TraceCache.Get.
+// proceeds for everyone else. Mirrors TraceCache.GetSource.
 func (s *ResultStore) Do(ctx context.Context, key string, compute func(ctx context.Context) (payload []byte, cacheable bool, err error)) (payload []byte, hit bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()

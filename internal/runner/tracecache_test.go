@@ -16,50 +16,50 @@ func testKey(name string, restructured bool) TraceKey {
 	return TraceKey{Workload: name, Scale: 0.1, Seed: 1, Restructured: restructured}
 }
 
-func generate(name string, restructured bool) func() (*trace.Trace, workload.Info, error) {
-	return func() (*trace.Trace, workload.Info, error) {
+func plan(name string, restructured bool) func() (trace.Source, workload.Info, error) {
+	return func() (trace.Source, workload.Info, error) {
 		w, err := workload.ByName(name)
 		if err != nil {
 			return nil, workload.Info{}, err
 		}
-		return w.Generate(workload.Params{Scale: 0.1, Seed: 1, Restructured: restructured})
+		return w.Source(workload.Params{Scale: 0.1, Seed: 1, Restructured: restructured})
 	}
 }
 
 // TestTraceCacheSingleflight is the regression test for shared-generator
-// races: many goroutines demand the same trace at once, exactly one
-// generation runs (on one goroutine — workload builders are not concurrency
-// safe), and everyone observes the same completed trace. Run under -race
-// this fails if trace generation ever starts sharing mutable builder state
-// across goroutines again.
+// races: many goroutines demand the same source at once, exactly one plan
+// runs (on one goroutine — workload builders are not concurrency safe), and
+// everyone observes the same completed source. Waiters on an in-flight plan
+// count as hits, not misses. Run under -race this fails if planning ever
+// starts sharing mutable builder state across goroutines again.
 func TestTraceCacheSingleflight(t *testing.T) {
 	c := NewTraceCache()
-	var generations atomic.Int64
+	var plans atomic.Int64
 	const goroutines = 16
-	results := make([]*trace.Trace, goroutines)
+	results := make([]trace.Source, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, _, err := c.Get(context.Background(), testKey("mp3d", false), func() (*trace.Trace, workload.Info, error) {
-				generations.Add(1)
-				return generate("mp3d", false)()
+			src, _, err := c.GetSource(context.Background(), testKey("mp3d", false), func() (trace.Source, workload.Info, error) {
+				plans.Add(1)
+				return plan("mp3d", false)()
 			})
 			if err != nil {
-				t.Errorf("Get: %v", err)
+				t.Errorf("GetSource: %v", err)
 				return
 			}
-			results[i] = tr
+			results[i] = src
 		}(i)
 	}
 	wg.Wait()
-	if n := generations.Load(); n != 1 {
-		t.Errorf("%d generations ran, want exactly 1", n)
+	if n := plans.Load(); n != 1 {
+		t.Errorf("%d plans ran, want exactly 1", n)
 	}
 	for i := 1; i < goroutines; i++ {
 		if results[i] != results[0] {
-			t.Errorf("goroutine %d got a different trace pointer", i)
+			t.Errorf("goroutine %d got a different source", i)
 		}
 	}
 	hits, misses := c.Stats()
@@ -70,13 +70,13 @@ func TestTraceCacheSingleflight(t *testing.T) {
 
 func TestTraceCacheDistinctKeys(t *testing.T) {
 	c := NewTraceCache()
-	a, _, err := c.Get(context.Background(), testKey("water", false), generate("water", false))
+	a, _, err := c.GetSource(context.Background(), testKey("water", false), plan("water", false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := c.Get(context.Background(), TraceKey{Workload: "water", Scale: 0.1, Seed: 2}, func() (*trace.Trace, workload.Info, error) {
+	b, _, err := c.GetSource(context.Background(), TraceKey{Workload: "water", Scale: 0.1, Seed: 2}, func() (trace.Source, workload.Info, error) {
 		w, _ := workload.ByName("water")
-		return w.Generate(workload.Params{Scale: 0.1, Seed: 2})
+		return w.Source(workload.Params{Scale: 0.1, Seed: 2})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +98,11 @@ func TestTraceCacheGeometryNormalization(t *testing.T) {
 	k0 := testKey("water", false)
 	kd := k0
 	kd.Geometry = memory.DefaultGeometry()
-	a, _, err := c.Get(context.Background(), k0, generate("water", false))
+	a, _, err := c.GetSource(context.Background(), k0, plan("water", false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := c.Get(context.Background(), kd, generate("water", false))
+	b, _, err := c.GetSource(context.Background(), kd, plan("water", false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,62 +119,56 @@ func TestTraceCacheMemoizesErrors(t *testing.T) {
 	c := NewTraceCache()
 	boom := errors.New("generation broke")
 	var calls atomic.Int64
-	bad := func() (*trace.Trace, workload.Info, error) {
+	bad := func() (trace.Source, workload.Info, error) {
 		calls.Add(1)
 		return nil, workload.Info{}, boom
 	}
-	if _, _, err := c.Get(context.Background(), testKey("mp3d", true), bad); !errors.Is(err, boom) {
-		t.Fatalf("first Get: %v", err)
+	if _, _, err := c.GetSource(context.Background(), testKey("mp3d", true), bad); !errors.Is(err, boom) {
+		t.Fatalf("first GetSource: %v", err)
 	}
-	if _, _, err := c.Get(context.Background(), testKey("mp3d", true), bad); !errors.Is(err, boom) {
-		t.Fatalf("second Get: %v", err)
+	if _, _, err := c.GetSource(context.Background(), testKey("mp3d", true), bad); !errors.Is(err, boom) {
+		t.Fatalf("second GetSource: %v", err)
 	}
 	if calls.Load() != 1 {
 		t.Errorf("failed generation ran %d times, want 1", calls.Load())
 	}
 }
 
-// TestTraceCacheSourceSingleflight is the streaming twin of
-// TestTraceCacheSingleflight: concurrent GetSource calls for one key plan
-// the source exactly once (misses == 1) and every other caller is a hit —
-// waiters on an in-flight generation count as hits, not misses.
+// TestTraceCacheSourceSingleflight: one cached source serves concurrent
+// cells. Every goroutine drains the shared source at once, each through its
+// own fresh iterators, and all of them see the same events.
 func TestTraceCacheSourceSingleflight(t *testing.T) {
 	c := NewTraceCache()
-	var generations atomic.Int64
-	const goroutines = 16
-	results := make([]trace.Source, goroutines)
+	const goroutines = 8
+	events := make([]int, goroutines)
+	demand := make([]int, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			src, _, err := c.GetSource(context.Background(), testKey("mp3d", false), func() (trace.Source, workload.Info, error) {
-				generations.Add(1)
-				w, err := workload.ByName("mp3d")
-				if err != nil {
-					return nil, workload.Info{}, err
-				}
-				return w.Source(workload.Params{Scale: 0.1, Seed: 1})
-			})
+			src, _, err := c.GetSource(context.Background(), testKey("mp3d", false), plan("mp3d", false))
 			if err != nil {
 				t.Errorf("GetSource: %v", err)
 				return
 			}
-			results[i] = src
+			if events[i], demand[i], err = trace.CountEvents(src); err != nil {
+				t.Errorf("drain: %v", err)
+			}
 		}(i)
 	}
 	wg.Wait()
-	if n := generations.Load(); n != 1 {
-		t.Errorf("%d plans ran, want exactly 1", n)
+	if events[0] == 0 || demand[0] == 0 {
+		t.Fatalf("drained %d events, %d demand refs; want a non-empty stream", events[0], demand[0])
 	}
 	for i := 1; i < goroutines; i++ {
-		if results[i] != results[0] {
-			t.Errorf("goroutine %d got a different source", i)
+		if events[i] != events[0] || demand[i] != demand[0] {
+			t.Errorf("goroutine %d drained %d/%d events, goroutine 0 drained %d/%d",
+				i, events[i], demand[i], events[0], demand[0])
 		}
 	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != goroutines-1 {
-		t.Errorf("stats = %d hits, %d misses; want %d, 1", hits, misses, goroutines-1)
+	if _, misses := c.Stats(); misses != 1 {
+		t.Errorf("misses = %d, want 1", misses)
 	}
 }
 
@@ -233,7 +227,7 @@ func TestTraceCacheHitRate(t *testing.T) {
 	}
 	k := testKey("water", false)
 	for i := 0; i < 4; i++ {
-		if _, _, err := c.Get(context.Background(), k, generate("water", false)); err != nil {
+		if _, _, err := c.GetSource(context.Background(), k, plan("water", false)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,12 @@
 // — is supplied by a pluggable internal/coherence.Protocol (Illinois by
 // default; MSI and Dragon write-update as ablations).
 //
+// RunSource is the one entry point. It drains a trace.Source chunk by chunk
+// — a workload generator, an annotated wrapping of one, a decoded BPTR file,
+// or a materialized trace through trace.FromTrace — and checks the trace's
+// structural rules inline as events retire, so an inconsistent trace fails
+// as a terminal error rather than as a watchdog stall.
+//
 // Modeled behaviour, following the paper:
 //
 //   - CPUs execute one cycle per instruction plus one cycle per data access

@@ -403,7 +403,7 @@ func TestRegionAttributionSumsToTotal(t *testing.T) {
 	}
 	c := cfg()
 	c.Regions = info.Regions
-	res, err := sim.Run(c, tr)
+	res, err := sim.RunSource(c, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,9 +65,7 @@ type buffered struct {
 
 // proc replays one processor's event stream through a chunk cursor:
 // stream is the current chunk, pc the position within it, and base the
-// absolute index of the chunk's first event. A materialized replay sets
-// stream to the whole trace stream and leaves it nil — one chunk, never
-// refilled — so both paths share one run loop and one set of semantics.
+// absolute index of the chunk's first event.
 type proc struct {
 	s      *simulator
 	id     int
@@ -78,18 +76,18 @@ type proc struct {
 	clock  uint64
 	stats  ProcStats
 
-	// it feeds the cursor in streaming mode; nil means stream is the
-	// whole event stream. srcFailed latches an iterator error or an
-	// inline-validation failure so the processor never advances past it.
+	// it feeds the cursor; nil once the stream is exhausted. srcFailed
+	// latches an iterator error or an inline-validation failure so the
+	// processor never advances past it.
 	it        trace.Iterator
 	srcFailed bool
-	// validate enables the inline structural checks of streaming replays
+	// held and barSeen carry the inline structural checks
 	// (trace.Validate's rules, enforced as events retire): held tracks
 	// the locks this processor holds, barSeen its barrier arrivals
-	// (checked against simulator.barLog).
-	validate bool
-	held     map[memory.Addr]bool
-	barSeen  int
+	// (checked against simulator.barLog and the other processors'
+	// final counts).
+	held    map[memory.Addr]bool
+	barSeen int
 
 	// inflight holds the outstanding fetches (at most the prefetch buffer
 	// depth plus one blocked demand fetch — a dozen and change), so lookup
@@ -156,6 +154,7 @@ func newProc(s *simulator, id int) *proc {
 		id:     id,
 		cache:  cache.New(s.cfg.Geometry),
 		wasted: make(map[memory.Addr]bool),
+		held:   make(map[memory.Addr]bool),
 		online: s.cfg.Online.NewEngine(s.cfg.Geometry),
 	}
 	p.runFn = p.run
@@ -283,8 +282,7 @@ func (p *proc) run(now uint64) {
 		case trace.Barrier:
 			blocked = p.barrierOp(e.Addr)
 		default:
-			// Unreachable on a materialized trace (Validate rejects unknown
-			// kinds up front); in streaming mode this is the inline check.
+			// The inline check for unknown kinds.
 			p.srcFailed = true
 			p.s.fail(fmt.Errorf("sim: proc %d event %d has unknown kind %d", p.id, p.base+p.pc, int(e.Kind)))
 			return
@@ -300,7 +298,7 @@ func (p *proc) run(now uint64) {
 		if blocked {
 			return
 		}
-		if p.validate && !p.checkRetire(e) {
+		if !p.checkRetire(e) {
 			return
 		}
 		p.pc++
@@ -316,8 +314,8 @@ func (p *proc) run(now uint64) {
 // refill advances the cursor to the next non-empty chunk of the
 // processor's stream. It returns false when no events remain: either
 // the stream is exhausted (the processor finishes, after the end-of-
-// stream validation of streaming mode) or the source failed (the run
-// aborts through the recorded error at the next dispatch).
+// stream validation) or the source failed (the run aborts through the
+// recorded error at the next dispatch).
 func (p *proc) refill() bool {
 	if p.srcFailed {
 		return false
@@ -340,9 +338,17 @@ func (p *proc) refill() bool {
 		p.stream, p.pc = chunk, 0
 		return true
 	}
-	if p.validate && len(p.held) != 0 {
+	if len(p.held) != 0 {
 		p.srcFailed = true
 		p.s.fail(fmt.Errorf("sim: proc %d stream ends holding %d locks", p.id, len(p.held)))
+		return false
+	}
+	if n := len(p.s.barLog); p.barSeen < n {
+		// Another processor already reached more barriers than this
+		// stream holds; it would wait for this processor forever.
+		p.srcFailed = true
+		p.s.fail(fmt.Errorf("sim: proc %d stream ends after %d barriers, an earlier arrival reached %d",
+			p.id, p.barSeen, n))
 		return false
 	}
 	if !p.finished {
@@ -353,9 +359,9 @@ func (p *proc) refill() bool {
 }
 
 // checkRetire enforces the lock-nesting rules of trace.Validate as an
-// event retires in streaming mode (retirement is the one point each
-// event passes exactly once, whatever blocking and retrying preceded
-// it). It returns false when the event violates them; the run aborts.
+// event retires (retirement is the one point each event passes exactly
+// once, whatever blocking and retrying preceded it). It returns false
+// when the event violates them; the run aborts.
 func (p *proc) checkRetire(e trace.Event) bool {
 	switch e.Kind {
 	case trace.Lock:
@@ -756,7 +762,7 @@ func (p *proc) completeFetch(inf *inflight, t uint64) {
 
 // startSpin implements the check.Spin fault: from now on the processor
 // retires a no-op unit of progress every cycle and never finishes. Only
-// context cancellation (sim.RunContext) ends such a run.
+// context cancellation (sim.RunSourceContext) ends such a run.
 func (p *proc) startSpin(now uint64) {
 	var spin func(now uint64)
 	spin = func(now uint64) {
@@ -978,23 +984,30 @@ func (p *proc) barrierOp(id memory.Addr) (blocked bool) {
 	if p.atBarrier {
 		return false
 	}
-	if p.validate {
-		// Inline barrier-sequence check (trace.Validate's rule): every
-		// processor's k-th barrier must name the same object as the first
-		// processor to arrive at its own k-th barrier. A mismatch would
-		// deadlock the replay; failing here reports it as the trace bug it
-		// is rather than as a watchdog stall.
-		k := p.barSeen
-		p.barSeen++
-		if k < len(p.s.barLog) {
-			if p.s.barLog[k] != id {
-				p.srcFailed = true
-				p.s.fail(fmt.Errorf("sim: proc %d barrier %d is %d, an earlier arrival had %d",
-					p.id, k, uint64(id), uint64(p.s.barLog[k])))
-				return true
-			}
-		} else {
-			p.s.barLog = append(p.s.barLog, id)
+	// Inline barrier-sequence check (trace.Validate's rules): every
+	// processor's k-th barrier must name the same object as the first
+	// processor to arrive at its own k-th barrier, and no processor may
+	// have finished with fewer barriers. Either mismatch would deadlock
+	// the replay; failing here reports it as the trace bug it is rather
+	// than as a watchdog stall.
+	k := p.barSeen
+	p.barSeen++
+	if k < len(p.s.barLog) {
+		if p.s.barLog[k] != id {
+			p.srcFailed = true
+			p.s.fail(fmt.Errorf("sim: proc %d barrier %d is %d, an earlier arrival had %d",
+				p.id, k, uint64(id), uint64(p.s.barLog[k])))
+			return true
+		}
+	} else {
+		p.s.barLog = append(p.s.barLog, id)
+	}
+	for _, q := range p.s.procs {
+		if q.finished && q.barSeen <= k {
+			p.srcFailed = true
+			p.s.fail(fmt.Errorf("sim: proc %d reaches barrier %d, but proc %d finished after %d barriers",
+				p.id, k, q.id, q.barSeen))
+			return true
 		}
 	}
 	p.atBarrier = true

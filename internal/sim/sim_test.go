@@ -16,7 +16,7 @@ func cfg() sim.Config {
 
 func run(t *testing.T, c sim.Config, streams ...trace.Stream) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(c, &trace.Trace{Name: "test", Streams: streams})
+	res, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: streams}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunRejectsInvalidTrace(t *testing.T) {
-	_, err := sim.Run(cfg(), &trace.Trace{Streams: []trace.Stream{{{Kind: trace.Unlock, Addr: 1}}}})
+	_, err := sim.RunSource(cfg(), trace.FromTrace(&trace.Trace{Streams: []trace.Stream{{{Kind: trace.Unlock, Addr: 1}}}}))
 	if err == nil {
 		t.Error("unbalanced unlock accepted")
 	}
-	_, err = sim.Run(cfg(), &trace.Trace{})
+	_, err = sim.RunSource(cfg(), trace.FromTrace(&trace.Trace{}))
 	if err == nil {
 		t.Error("empty trace accepted")
 	}
@@ -434,7 +434,7 @@ func TestWaitBreakdownSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(cfg(), tr)
+	res, err := sim.RunSource(cfg(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestCoherenceInvariants(t *testing.T) {
 			}
 			c := cfg()
 			c.CheckInvariants = true
-			if _, err := sim.Run(c, tr); err != nil {
+			if _, err := sim.RunSource(c, trace.FromTrace(tr)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -481,11 +481,11 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sim.Run(cfg(), tr)
+	a, err := sim.RunSource(cfg(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.Run(cfg(), tr)
+	b, err := sim.RunSource(cfg(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestSlowerBusRunsLonger(t *testing.T) {
 	for _, transfer := range []int{4, 16, 32} {
 		c := cfg()
 		c.TransferCycles = transfer
-		res, err := sim.Run(c, tr)
+		res, err := sim.RunSource(c, trace.FromTrace(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

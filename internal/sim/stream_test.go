@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"busprefetch/internal/check"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/trace"
@@ -13,8 +14,9 @@ import (
 )
 
 // streamTestCell runs one workload/strategy cell both ways — materialized
-// (Generate, Annotate, Run) and streamed (Source, AnnotateSource,
-// RunSource) — and requires identical Results.
+// (Generate, annotate, replay the whole trace as one chunk per processor)
+// and streamed (Source, AnnotateSource, RunSource over pooled chunks) —
+// and requires identical Results: chunking never affects the simulation.
 func streamTestCell(t *testing.T, w *workload.Workload, wp workload.Params, opt prefetch.Options) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -23,11 +25,15 @@ func streamTestCell(t *testing.T, w *workload.Workload, wp workload.Params, opt 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann, err := prefetch.Annotate(tr, opt)
+	annTr, err := prefetch.AnnotateSource(trace.FromTrace(tr), opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(cfg, ann)
+	ann, err := trace.Materialize(annTr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunSource(cfg, trace.FromTrace(ann))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +69,8 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	}
 }
 
-// kindSource yields a hand-built per-proc event sequence; it exercises the
-// streaming replay's inline validation, which materialized traces get from
-// trace.Validate up front.
+// kindSource yields a hand-built per-proc event sequence through a
+// producer pipe; it exercises the replay's inline validation.
 type kindSource struct {
 	streams []trace.Stream
 }
@@ -127,6 +132,30 @@ func TestRunSourceInlineValidation(t *testing.T) {
 			},
 			want: "barrier",
 		},
+		{
+			name: "barrier count mismatch",
+			streams: []trace.Stream{
+				{{Kind: trace.Barrier, Addr: 1}, read, {Kind: trace.Barrier, Addr: 2}},
+				{{Kind: trace.Barrier, Addr: 1}},
+			},
+			want: "barriers",
+		},
+		{
+			name: "barrier count mismatch, short stream first",
+			streams: []trace.Stream{
+				{{Kind: trace.Barrier, Addr: 1}},
+				{{Kind: trace.Barrier, Addr: 1}, {Kind: trace.Read, Addr: 0x1000, Gap: 5000}, {Kind: trace.Barrier, Addr: 2}},
+			},
+			want: "finished after 1 barriers",
+		},
+		{
+			name: "barrier count mismatch, long stream first",
+			streams: []trace.Stream{
+				{{Kind: trace.Barrier, Addr: 1}, {Kind: trace.Barrier, Addr: 2}},
+				{{Kind: trace.Barrier, Addr: 1}, {Kind: trace.Read, Addr: 0x1000, Gap: 5000}},
+			},
+			want: "ends after 1 barriers",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -137,6 +166,10 @@ func TestRunSourceInlineValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want it to mention %q", err, tc.want)
+			}
+			var stall *check.StallError
+			if errors.As(err, &stall) {
+				t.Errorf("invalid stream reported as a stall: %v", err)
 			}
 		})
 	}

@@ -1,7 +1,9 @@
 // Package trace defines the multiprocessor address-trace representation that
 // flows through the whole pipeline: workload generators emit traces, the
 // offline prefetch inserter annotates them, and the multiprocessor simulator
-// replays them.
+// replays them. Events flow between the stages as a Source, one chunked
+// iterator per processor, so no stage materializes the trace; the Trace
+// type is the materialized form kept for persistence (Encode, Decode).
 //
 // A trace holds one event stream per processor. Each event carries a Gap —
 // the number of ordinary (non-memory) instructions executed since the

@@ -42,39 +42,50 @@ type SharingProfile struct {
 	lines map[memory.Addr]LineUse
 }
 
-// AnalyzeSharing scans every demand reference in the trace and classifies
-// each touched cache line. Prefetch events are ignored: sharing is a property
-// of the program, and this analysis also runs before prefetch insertion to
-// identify the write-shared lines PWS should target.
-func AnalyzeSharing(t *Trace, geom memory.Geometry) *SharingProfile {
-	p := &SharingProfile{geom: geom, lines: make(map[memory.Addr]LineUse)}
-	for proc, s := range t.Streams {
+func newSharingProfile(geom memory.Geometry) *SharingProfile {
+	return &SharingProfile{geom: geom, lines: make(map[memory.Addr]LineUse)}
+}
+
+// note classifies one event of processor bit's stream. Reads make the
+// processor a reader of the line; writes make it a reader and a writer.
+// Lock words are write-shared by construction: the acquire/release
+// perform read-modify-writes. Prefetch and barrier events are ignored:
+// sharing is a property of the program, and this analysis also runs
+// before prefetch insertion to identify the write-shared lines PWS
+// should target.
+func (p *SharingProfile) note(bit uint64, e Event) {
+	var writer uint64
+	switch e.Kind {
+	case Read:
+	case Write, Lock, Unlock:
+		writer = bit
+	default:
+		return
+	}
+	la := p.geom.LineAddr(e.Addr)
+	u := p.lines[la]
+	u.Readers |= bit
+	u.Writers |= writer
+	p.lines[la] = u
+}
+
+// AnalyzeSharingSource drains a fresh iterator per processor of src and
+// classifies each touched cache line, without materializing the trace.
+// Line classification only ORs per-processor bits, so the result is
+// independent of event order and chunking.
+func AnalyzeSharingSource(src Source, geom memory.Geometry) (*SharingProfile, error) {
+	p := newSharingProfile(geom)
+	for proc := 0; proc < src.Procs(); proc++ {
 		bit := uint64(1) << uint(proc)
-		for _, e := range s {
-			switch e.Kind {
-			case Read:
-				la := geom.LineAddr(e.Addr)
-				u := p.lines[la]
-				u.Readers |= bit
-				p.lines[la] = u
-			case Write:
-				la := geom.LineAddr(e.Addr)
-				u := p.lines[la]
-				u.Readers |= bit
-				u.Writers |= bit
-				p.lines[la] = u
-			case Lock, Unlock:
-				// Lock words are write-shared by construction: the
-				// acquire/release perform read-modify-writes.
-				la := geom.LineAddr(e.Addr)
-				u := p.lines[la]
-				u.Readers |= bit
-				u.Writers |= bit
-				p.lines[la] = u
+		if err := eachChunk(src, proc, func(chunk []Event) {
+			for _, e := range chunk {
+				p.note(bit, e)
 			}
+		}); err != nil {
+			return nil, err
 		}
 	}
-	return p
+	return p, nil
 }
 
 // Use returns the usage summary for the line containing a.
@@ -133,25 +144,33 @@ type Stats struct {
 	WriteShared int // bytes of distinct write-shared cache lines
 }
 
-// Summarize computes whole-trace statistics using geom for line accounting.
-func Summarize(t *Trace, geom memory.Geometry) Stats {
-	st := Stats{Procs: t.Procs()}
-	prof := AnalyzeSharing(t, geom)
-	for _, s := range t.Streams {
-		st.Events += len(s)
-		for _, e := range s {
-			switch e.Kind {
-			case Read:
-				st.Reads++
-			case Write:
-				st.Writes++
-			case Prefetch, PrefetchExcl:
-				st.Prefetches++
-			case Lock:
-				st.Locks++
-			case Barrier:
-				st.Barriers++
+// SummarizeSource computes whole-trace statistics from a streaming Source,
+// using geom for line accounting. It drains each processor once, fusing
+// the event counting and the sharing analysis.
+func SummarizeSource(src Source, geom memory.Geometry) (Stats, error) {
+	st := Stats{Procs: src.Procs()}
+	prof := newSharingProfile(geom)
+	for proc := 0; proc < src.Procs(); proc++ {
+		bit := uint64(1) << uint(proc)
+		if err := eachChunk(src, proc, func(chunk []Event) {
+			st.Events += len(chunk)
+			for _, e := range chunk {
+				switch e.Kind {
+				case Read:
+					st.Reads++
+				case Write:
+					st.Writes++
+				case Prefetch, PrefetchExcl:
+					st.Prefetches++
+				case Lock:
+					st.Locks++
+				case Barrier:
+					st.Barriers++
+				}
+				prof.note(bit, e)
 			}
+		}); err != nil {
+			return Stats{}, err
 		}
 	}
 	st.DemandRefs = st.Reads + st.Writes
@@ -165,5 +184,5 @@ func Summarize(t *Trace, geom memory.Geometry) Stats {
 			st.WriteShared += geom.LineSize
 		}
 	}
-	return st
+	return st, nil
 }

@@ -252,24 +252,33 @@ func DrainProc(src Source, proc int) (Stream, error) {
 // anything.
 func CountEvents(src Source) (events, demand int, err error) {
 	for p := 0; p < src.Procs(); p++ {
-		it := src.Events(p)
-		for {
-			chunk, cerr := it.Next()
-			if cerr != nil {
-				it.Close()
-				return 0, 0, cerr
-			}
-			if chunk == nil {
-				break
-			}
+		if err := eachChunk(src, p, func(chunk []Event) {
 			events += len(chunk)
 			for _, e := range chunk {
 				if e.Kind.IsDemand() {
 					demand++
 				}
 			}
+		}); err != nil {
+			return 0, 0, err
 		}
-		it.Close()
 	}
 	return events, demand, nil
+}
+
+// eachChunk drains a fresh iterator over proc's stream of src, calling fn
+// on every chunk, and closes it on every path.
+func eachChunk(src Source, proc int, fn func([]Event)) error {
+	it := src.Events(proc)
+	defer it.Close()
+	for {
+		chunk, err := it.Next()
+		if err != nil {
+			return err
+		}
+		if chunk == nil {
+			return nil
+		}
+		fn(chunk)
+	}
 }

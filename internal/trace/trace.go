@@ -67,7 +67,9 @@ func (e Event) String() string {
 // Stream is the ordered event sequence executed by one processor.
 type Stream []Event
 
-// Trace is a complete multiprocessor trace.
+// Trace is a complete multiprocessor trace, materialized in memory. The
+// pipeline itself streams Sources; a Trace is the form Encode and Decode
+// persist, converted with FromTrace and Materialize.
 type Trace struct {
 	// Name identifies the workload that produced the trace.
 	Name string
@@ -101,8 +103,7 @@ func (t *Trace) DemandRefs() int {
 	return n
 }
 
-// Clone returns a deep copy of the trace. Prefetch insertion clones so the
-// original NP trace survives for the baseline run.
+// Clone returns a deep copy of the trace.
 func (t *Trace) Clone() *Trace {
 	c := &Trace{Name: t.Name, Streams: make([]Stream, len(t.Streams))}
 	for i, s := range t.Streams {

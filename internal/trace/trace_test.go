@@ -122,13 +122,23 @@ func TestEstimatedCycles(t *testing.T) {
 	}
 }
 
+// analyze profiles a materialized trace through the streaming analysis.
+func analyze(t *testing.T, tr *Trace, g memory.Geometry) *SharingProfile {
+	t.Helper()
+	p, err := AnalyzeSharingSource(FromTrace(tr), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestSharingProfile(t *testing.T) {
 	g := memory.DefaultGeometry()
 	tr := &Trace{Streams: []Stream{
 		{{Kind: Read, Addr: 0}, {Kind: Read, Addr: 64}, {Kind: Write, Addr: 128}},
 		{{Kind: Read, Addr: 64}, {Kind: Read, Addr: 128}},
 	}}
-	p := AnalyzeSharing(tr, g)
+	p := analyze(t, tr, g)
 	if p.Use(0).WriteShared() || p.Use(0).SharedRead() {
 		t.Error("line 0 is private")
 	}
@@ -154,7 +164,7 @@ func TestSharingProfileCountsLockLinesAsWriteShared(t *testing.T) {
 		{{Kind: Lock, Addr: 256}, {Kind: Unlock, Addr: 256}},
 		{{Kind: Lock, Addr: 256}, {Kind: Unlock, Addr: 256}},
 	}}
-	p := AnalyzeSharing(tr, g)
+	p := analyze(t, tr, g)
 	if !p.WriteShared(256) {
 		t.Error("lock line should be write-shared")
 	}
@@ -166,7 +176,7 @@ func TestSharingProfileWordInLineSameLine(t *testing.T) {
 		{{Kind: Write, Addr: 4}},
 		{{Kind: Read, Addr: 28}}, // same 32-byte line as address 4
 	}}
-	p := AnalyzeSharing(tr, g)
+	p := analyze(t, tr, g)
 	if !p.WriteShared(4) || !p.WriteShared(28) {
 		t.Error("accesses to different words of one line must share")
 	}
@@ -188,7 +198,10 @@ func TestSummarize(t *testing.T) {
 			{Kind: Barrier, Addr: 0},
 		},
 	}}
-	st := Summarize(tr, g)
+	st, err := SummarizeSource(FromTrace(tr), g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Reads != 2 || st.Writes != 1 || st.Prefetches != 1 || st.Locks != 1 {
 		t.Errorf("counts: %+v", st)
 	}

@@ -21,7 +21,11 @@ func sharingOf(t *testing.T, name string, restructured bool) (*trace.Trace, *tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, trace.AnalyzeSharing(tr, memory.DefaultGeometry())
+	prof, err := trace.AnalyzeSharingSource(trace.FromTrace(tr), memory.DefaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, prof
 }
 
 func TestTopoptConflictPairLayout(t *testing.T) {

@@ -133,7 +133,10 @@ func TestWorkloadsExhibitWriteSharing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof := trace.AnalyzeSharing(tr, g)
+		prof, err := trace.AnalyzeSharingSource(trace.FromTrace(tr), g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, _, ws := prof.Counts()
 		if ws == 0 {
 			t.Errorf("%s: no write-shared lines — the paper's whole topic", w.Name)
