@@ -245,6 +245,47 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
+// cellSpecs are BenchmarkCell's cells at the benchmark scale: a write-shared,
+// bus-bound cell and a low-sharing, hit-dominated one.
+var cellSpecs = []struct {
+	name string
+	spec RunSpec
+}{
+	{"mp3d/PREF/T=8", RunSpec{Workload: "mp3d", Strategy: "PREF", Transfer: 8, Scale: benchScale}},
+	{"water/NP/T=8", RunSpec{Workload: "water", Strategy: "NP", Transfer: 8, Scale: benchScale}},
+}
+
+// cellBody is BenchmarkCell's loop body, shared with its determinism guard.
+func cellBody(spec RunSpec) (*Metrics, error) {
+	return RunContext(context.Background(), spec)
+}
+
+// cellSink keeps BenchmarkCell's result live so the call cannot be elided.
+var cellSink *Metrics
+
+// BenchmarkCell times one cell end to end exactly as a library caller runs
+// it: RunContext plans and generates the workload, annotates it and
+// simulates it, with the producers overlapping the simulator. It is the
+// headline gate; FullCell (the simulator alone) and StreamingCell (the
+// producers alone) split it into layers. TestCellBodyMatchesGolden pins the
+// body's Metrics.
+func BenchmarkCell(b *testing.B) {
+	for _, c := range cellSpecs {
+		b.Run(c.name, func(b *testing.B) {
+			var refs uint64
+			for i := 0; i < b.N; i++ {
+				m, err := cellBody(c.spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				refs += m.DemandRefs
+				cellSink = m
+			}
+			b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "demand-refs/s")
+		})
+	}
+}
+
 // BenchmarkSimulator measures raw simulation throughput (events/sec) on the
 // mp3d workload — the performance of the Charlie-analogue core.
 func BenchmarkSimulator(b *testing.B) {

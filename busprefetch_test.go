@@ -232,3 +232,44 @@ func TestInterconnectOption(t *testing.T) {
 		t.Error("multi-link single bus accepted")
 	}
 }
+
+// cellGolden holds the Metrics of BenchmarkCell's cells as recorded when the
+// benchmark was added. The benchmark times the simulator's results, so a
+// change that moves them is a model change: it must update this table along
+// with the experiments goldens.
+var cellGolden = map[string]Metrics{
+	"mp3d/PREF/T=8": {Workload: "mp3d", Strategy: "PREF", Transfer: 8,
+		Cycles: 114074, DemandRefs: 138673,
+		CPUMissRate: 0.07365528978243782, AdjustedCPUMissRate: 0.017761208021749006, TotalMissRate: 0.09292364050680378,
+		InvalidationMissRate: 0.01744391482119807, FalseSharingMissRate: 0.0028195827594412757,
+		Components: MissComponents{NonSharingNotPrefetched: 0.00028844836413721486, NonSharingPrefetched: 2.884483641372149e-05,
+			InvalidationNotPrefetched: 0.017350169102853474, InvalidationPrefetched: 9.374571834459484e-05, PrefetchInProgress: 0.055894081760688816},
+		BusUtilization: 1, ProcessorUtilization: 0.4128548135420868,
+		PrefetchesIssued: 10460, PrefetchOverhead: 0.0754292472218817, BusOps: 18459},
+	"water/NP/T=8": {Workload: "water", Strategy: "NP", Transfer: 8,
+		Cycles: 134498, DemandRefs: 197875,
+		CPUMissRate: 0.02663802905874921, AdjustedCPUMissRate: 0.02663802905874921, TotalMissRate: 0.02663802905874921,
+		InvalidationMissRate: 0.0055135818066961466, FalseSharingMissRate: 0.0009500947567909033,
+		Components:     MissComponents{NonSharingNotPrefetched: 0.021124447252053064, InvalidationNotPrefetched: 0.0055135818066961466},
+		BusUtilization: 0.3179824235304614, ProcessorUtilization: 0.5880087436244406, BusOps: 5571},
+}
+
+// TestCellBodyMatchesGolden is BenchmarkCell's determinism guard: the
+// benchmark body must produce exactly the recorded Metrics for every
+// benchmarked cell, so the benchmark never times a cell whose results moved.
+func TestCellBodyMatchesGolden(t *testing.T) {
+	for _, c := range cellSpecs {
+		want, ok := cellGolden[c.name]
+		if !ok {
+			t.Errorf("%s: no golden Metrics", c.name)
+			continue
+		}
+		got, err := cellBody(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if *got != want {
+			t.Errorf("%s: Metrics\n got %+v\nwant %+v", c.name, *got, want)
+		}
+	}
+}

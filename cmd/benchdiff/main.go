@@ -12,7 +12,8 @@
 // Each -gate NAME=PCT (repeatable) fails the run with exit status 1 when the
 // named benchmark's median ns/op regressed by more than PCT percent, or when
 // the benchmark is missing from either file — a silently vanished gate
-// benchmark must not pass. NAME matches any benchmark whose name contains it.
+// benchmark must not pass. NAME covers BenchmarkNAME and its sub-benchmarks
+// (BenchmarkNAME/...), each gated on its own.
 package main
 
 import (
@@ -186,30 +187,44 @@ func report(w io.Writer, old, cur map[string][]float64) {
 	}
 }
 
-// checkGates verifies every gated benchmark is present on both sides and
-// within its regression bound.
+// gateMatches reports whether benchmark n is the one gate name g names or
+// one of its sub-benchmarks: gate Cell covers BenchmarkCell and
+// BenchmarkCell/mp3d, never BenchmarkFullCell.
+func gateMatches(n, g string) bool {
+	full := "Benchmark" + g
+	return n == full || strings.HasPrefix(n, full+"/")
+}
+
+// checkGates verifies every benchmark a gate covers is present on both sides
+// and within the gate's regression bound.
 func checkGates(gates []gate, old, cur map[string][]float64) []error {
 	var errs []error
 	for _, g := range gates {
-		oldName, curName := "", ""
-		for n := range old {
-			if strings.Contains(n, g.name) {
-				oldName = n
-				break
-			}
-		}
+		var names []string
 		for n := range cur {
-			if strings.Contains(n, g.name) {
-				curName = n
-				break
+			if gateMatches(n, g.name) {
+				names = append(names, n)
 			}
 		}
-		if oldName == "" || curName == "" {
-			errs = append(errs, fmt.Errorf("gate %s: benchmark missing (old %q, new %q)", g.name, oldName, curName))
+		for n := range old {
+			if _, ok := cur[n]; !ok && gateMatches(n, g.name) {
+				names = append(names, n)
+			}
+		}
+		if len(names) == 0 {
+			errs = append(errs, fmt.Errorf("gate %s: benchmark missing from both sides", g.name))
 			continue
 		}
-		if d := deltaPct(median(old[oldName]), median(cur[curName])); d > g.pct {
-			errs = append(errs, fmt.Errorf("gate %s: %s regressed %.1f%% (limit %.1f%%)", g.name, curName, d, g.pct))
+		sort.Strings(names)
+		for _, n := range names {
+			o, c := old[n], cur[n]
+			if len(o) == 0 || len(c) == 0 {
+				errs = append(errs, fmt.Errorf("gate %s: %s missing (old %d samples, new %d)", g.name, n, len(o), len(c)))
+				continue
+			}
+			if d := deltaPct(median(o), median(c)); d > g.pct {
+				errs = append(errs, fmt.Errorf("gate %s: %s regressed %.1f%% (limit %.1f%%)", g.name, n, d, g.pct))
+			}
 		}
 	}
 	return errs

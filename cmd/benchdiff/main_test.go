@@ -96,3 +96,25 @@ func TestReportListsAllBenchmarks(t *testing.T) {
 		}
 	}
 }
+
+// TestGateCoversExactNameAndSubBenchmarks pins gate matching: gate Cell
+// covers BenchmarkCell's sub-benchmarks, each on its own, and not
+// BenchmarkFullCell, whose name merely contains "Cell".
+func TestGateCoversExactNameAndSubBenchmarks(t *testing.T) {
+	old := parseString(t, `BenchmarkFullCell 1 100 ns/op
+BenchmarkCell/a-2 1 100 ns/op
+BenchmarkCell/b-2 1 100 ns/op
+`)
+	cur := parseString(t, `BenchmarkFullCell 1 500 ns/op
+BenchmarkCell/a-2 1 105 ns/op
+BenchmarkCell/b-2 1 130 ns/op
+`)
+	errs := checkGates([]gate{{name: "Cell", pct: 10}}, old, cur)
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "BenchmarkCell/b") {
+		t.Errorf("gate Cell errors = %v, want only BenchmarkCell/b's regression", errs)
+	}
+	delete(cur, "BenchmarkCell/a")
+	if errs := checkGates([]gate{{name: "Cell", pct: 50}}, old, cur); len(errs) != 1 || !strings.Contains(errs[0].Error(), "BenchmarkCell/a missing") {
+		t.Errorf("gate Cell with a vanished sub-benchmark: errors = %v, want BenchmarkCell/a missing", errs)
+	}
+}

@@ -2,7 +2,9 @@ package bus
 
 import (
 	"fmt"
+	"math/bits"
 
+	"busprefetch/internal/memory"
 	"busprefetch/internal/names"
 )
 
@@ -173,11 +175,13 @@ type Observer func(grant, occupancy uint64, op Op, class Class, proc int)
 // scanned slice: arbitration order is (class, round-robin distance from the
 // last winner, submission order), so the winner is found by walking the
 // processors of the highest non-empty class in round-robin order and taking
-// the first ready request — no full scan, no mid-slice splice. Each queue
-// holds one processor's same-class requests in submission (seq) order; the
-// queues are tiny (a processor has at most one outstanding demand fetch, a
-// prefetch-buffer-depth of prefetches, and a handful of writebacks), so the
-// occasional mid-queue removal is a short copy within one small slice.
+// the first ready request — no full scan, no mid-slice splice. A per-class
+// bitmask of processors with a non-empty queue lets that walk visit only the
+// queues that hold something. Each queue holds one processor's same-class
+// requests in submission (seq) order; the queues are tiny (a processor has
+// at most one outstanding demand fetch, a prefetch-buffer-depth of
+// prefetches, and a handful of writebacks), so the occasional mid-queue
+// removal is a short copy within one small slice.
 type Bus struct {
 	sched      Scheduler
 	nproc      int
@@ -188,12 +192,12 @@ type Bus struct {
 	discipline Discipline
 
 	// queues[class][proc] holds that processor's pending requests of that
-	// class in submission order. classCount tracks entries per class so
-	// arbitration skips empty classes without touching their queues;
-	// npending is the total.
-	queues     [numClasses][]procQueue
-	classCount [numClasses]int
-	npending   int
+	// class in submission order. Bit p of nonempty[class] is set exactly
+	// when queues[class][p] is non-empty, so arbitration skips empty classes
+	// and empty queues without touching them; npending is the total.
+	queues   [numClasses][]procQueue
+	nonempty [numClasses]uint64
+	npending int
 
 	// attemptAt is the earliest outstanding grant-attempt event, or noAttempt.
 	attemptAt uint64
@@ -229,13 +233,17 @@ func New(sched Scheduler, nproc int) (*Bus, error) {
 }
 
 // NewWithDiscipline creates a bus arbitrating under the given service
-// discipline.
+// discipline. It rejects a processor count outside [1, memory.MaxProcs]: the
+// per-class queue masks are uint64 bitmasks.
 func NewWithDiscipline(sched Scheduler, nproc int, d Discipline) (*Bus, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("bus: nil scheduler")
 	}
 	if nproc <= 0 {
 		return nil, fmt.Errorf("bus: processor count %d must be positive", nproc)
+	}
+	if nproc > memory.MaxProcs {
+		return nil, fmt.Errorf("bus: processor count %d exceeds the %d-processor limit", nproc, memory.MaxProcs)
 	}
 	if !d.Valid() {
 		return nil, fmt.Errorf("bus: unknown discipline %d", int(d))
@@ -287,7 +295,7 @@ func (b *Bus) Submit(now uint64, r *Request) error {
 	r.pending = true
 	q := &b.queues[r.Class][r.Proc]
 	*q = append(*q, r)
-	b.classCount[r.Class]++
+	b.nonempty[r.Class] |= 1 << uint(r.Proc)
 	b.npending++
 	b.scheduleAttempt(now, max(r.Ready, b.freeAt))
 	return nil
@@ -302,7 +310,9 @@ func (b *Bus) remove(class Class, proc, i int) {
 	copy(q[i:], q[i+1:])
 	q[len(q)-1] = nil
 	b.queues[class][proc] = q[:len(q)-1]
-	b.classCount[class]--
+	if len(q) == 1 {
+		b.nonempty[class] &^= 1 << uint(proc)
+	}
 	b.npending--
 }
 
@@ -331,7 +341,7 @@ func (b *Bus) Promote(r *Request) {
 	copy(dq[at+1:], dq[at:])
 	dq[at] = r
 	b.queues[Demand][r.Proc] = dq
-	b.classCount[Demand]++
+	b.nonempty[Demand] |= 1 << uint(r.Proc)
 	b.npending++
 }
 
@@ -378,11 +388,8 @@ func (b *Bus) attempt(now uint64) {
 		// Nothing ready yet: re-arm at the earliest future Ready.
 		earliest := noAttempt
 		for c := range b.queues {
-			if b.classCount[c] == 0 {
-				continue
-			}
-			for _, q := range b.queues[c] {
-				for _, p := range q {
+			for m := b.nonempty[c]; m != 0; m &= m - 1 {
+				for _, p := range b.queues[c][bits.TrailingZeros64(m)] {
 					if p.Ready < earliest {
 						earliest = p.Ready
 					}
@@ -441,21 +448,20 @@ func (b *Bus) complete(t uint64) {
 // winner, then submission order. With per-class per-proc queues that order is
 // positional: walk the processors of the first non-empty class starting just
 // past the last winner, and within a processor's queue (kept in submission
-// order) take the first ready entry.
+// order) take the first ready entry. The walk visits only the processors in
+// the class's nonempty mask: rotating the mask right by lastWin+1 puts the
+// set bits above lastWin at the bottom in ascending order and those at or
+// below it above them, so ascending bit order of the rotated mask is the
+// same wrap-around order as stepping through every processor.
 func (b *Bus) pick(now uint64) (*Request, Class, int, int) {
 	if b.discipline == FCFS {
 		return b.pickFCFS(now)
 	}
+	start := b.lastWin + 1 // at lastWin 63 the rotation is a full turn
 	for c := Class(0); c < numClasses; c++ {
-		if b.classCount[c] == 0 {
-			continue
-		}
 		qs := b.queues[c]
-		for k := 1; k <= b.nproc; k++ {
-			p := b.lastWin + k
-			if p >= b.nproc {
-				p -= b.nproc
-			}
+		for m := bits.RotateLeft64(b.nonempty[c], -start); m != 0; m &= m - 1 {
+			p := (bits.TrailingZeros64(m) + start) & 63
 			for i, r := range qs[p] {
 				if r.Ready <= now {
 					return r, c, p, i
@@ -480,11 +486,9 @@ func (b *Bus) pickFCFS(now uint64) (*Request, Class, int, int) {
 		haveBest = false
 	)
 	for c := Class(0); c < numClasses; c++ {
-		if b.classCount[c] == 0 {
-			continue
-		}
-		for p, q := range b.queues[c] {
-			for i, r := range q {
+		for m := b.nonempty[c]; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros64(m)
+			for i, r := range b.queues[c][p] {
 				if r.Ready > now {
 					continue
 				}

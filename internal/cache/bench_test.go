@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 
 	"busprefetch/internal/memory"
@@ -63,6 +64,42 @@ func snoopSweep(c *Cache, addrs []memory.Addr) int {
 	return killed
 }
 
+// snoopGroupSweep is the simulator's snoop pattern on a cache group: for
+// every address, cache 0 (the requester) finds the other holders through
+// Holders and applies an invalidating snoop to each. It returns the copies
+// that were valid when snooped.
+func snoopGroupSweep(group []*Cache, addrs []memory.Addr) int {
+	killed := 0
+	for _, a := range addrs {
+		for h := group[0].Holders(a) &^ 1; h != 0; h &= h - 1 {
+			if group[bits.TrailingZeros64(h)].SnoopInvalidate(a, 0) != Invalid {
+				killed++
+			}
+		}
+	}
+	return killed
+}
+
+// prefillGroup fills line l of the working set into cache p of the group
+// when (l+p)%4 == 0, so each line has a quarter of the group as holders.
+// It returns how many of those copies sit outside cache 0.
+func prefillGroup(group []*Cache, geom memory.Geometry, wsLines int) int {
+	remote := 0
+	for l := 0; l < wsLines; l++ {
+		for p, c := range group {
+			if (l+p)%4 != 0 {
+				continue
+			}
+			line, _ := c.Allocate(memory.Addr(l * geom.LineSize))
+			line.State = Shared
+			if p != 0 {
+				remote++
+			}
+		}
+	}
+	return remote
+}
+
 func prefill(c *Cache, geom memory.Geometry, wsLines int) {
 	for i := 0; i < wsLines; i++ {
 		l, _ := c.Allocate(memory.Addr(i * geom.LineSize))
@@ -110,6 +147,23 @@ func BenchmarkSnoop(b *testing.B) {
 	}
 }
 
+// BenchmarkSnoopGroup is BenchmarkSnoop as the simulator performs it: a
+// 16-cache group in the paper's geometry, where each snoop visits only the
+// caches Holders names instead of probing all fifteen remote caches.
+func BenchmarkSnoopGroup(b *testing.B) {
+	geom := memory.DefaultGeometry()
+	group := NewGroup(geom, 16)
+	ws := geom.Lines() / 2
+	addrs := benchAddrs(geom, 4096, ws)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prefillGroup(group, geom, ws)
+		b.StartTimer()
+		snoopGroupSweep(group, addrs)
+	}
+}
+
 // TestBenchBodiesDeterministic runs each benchmark body once, as plain test
 // code, and asserts the outcome the benchmark loop checks (or would observe)
 // is exactly what the cache semantics demand. If a benchmark body diverges
@@ -142,5 +196,11 @@ func TestBenchBodiesDeterministic(t *testing.T) {
 	prefill(sc, geom, ws)
 	if got := snoopSweep(sc, addrs); got != ws {
 		t.Errorf("snoopSweep = %d valid copies killed, want %d (each line snooped valid once)", got, ws)
+	}
+
+	group := NewGroup(geom, 16)
+	remote := prefillGroup(group, geom, ws)
+	if got := snoopGroupSweep(group, addrs); got != remote {
+		t.Errorf("snoopGroupSweep = %d valid copies killed, want %d (each remote copy snooped valid once)", got, remote)
 	}
 }

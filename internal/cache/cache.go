@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"busprefetch/internal/memory"
@@ -53,11 +54,11 @@ func (s State) Dirty() bool { return s == Modified || s == SharedMod }
 // (or whose invalidation word is unknown).
 const NoInvalidatingWord = -1
 
-// Line is one cache line with the metadata the paper's analysis needs.
+// Line is one cache line with the metadata the paper's analysis needs. Its
+// tag lives in the cache group's shared tag table, not in the line: a line
+// returned by Lookup, Probe or Allocate is the one holding the looked-up
+// address's tag.
 type Line struct {
-	// Tag is the global line number (address / line size). Meaningful even
-	// when State is Invalid, so invalidation misses can be recognized.
-	Tag uint64
 	// State is the coherence state.
 	State State
 	// PrefetchedUnused is set when the line was filled by a prefetch and no
@@ -65,26 +66,19 @@ type Line struct {
 	// subsequent miss can be classified "prefetched, but disappeared from
 	// the cache before use".
 	PrefetchedUnused bool
-	// WordsAccessed is a bitmask of words demand-accessed by the local
-	// processor during the line's current (or, after invalidation, most
-	// recent) residence. Used for false-sharing classification.
-	WordsAccessed uint64
 	// InvalidatingWord is the word index written by the remote processor
 	// whose write invalidated this line, or NoInvalidatingWord. An
 	// invalidation miss is a false-sharing miss when the local processor
 	// never accessed that word (Eggers & Jeremiassen's definition, paper
 	// §4.4).
 	InvalidatingWord int8
+	// WordsAccessed is a bitmask of words demand-accessed by the local
+	// processor during the line's current (or, after invalidation, most
+	// recent) residence. Used for false-sharing classification.
+	WordsAccessed uint64
 	// lru is the per-set recency stamp (larger = more recent).
 	lru uint64
-
-	// tagValid distinguishes a never-used line from an invalidated one.
-	tagValid bool
 }
-
-// HasTag reports whether the line's tag field holds a real (possibly
-// invalidated) line number rather than cold-start garbage.
-func (l *Line) HasTag() bool { return l.tagValid }
 
 // Eviction describes what Allocate displaced.
 type Eviction struct {
@@ -105,12 +99,25 @@ type Eviction struct {
 // Cache is a set-associative cache with LRU replacement. Assoc 1 gives the
 // paper's direct-mapped cache; Geometry.Assoc 0 gives a fully-associative
 // cache (used by the PWS filter).
+//
+// Every Cache belongs to a group (NewGroup; New builds a group of one). The
+// group's caches share one tag table laid out [set][way][cache], so the tags
+// every cache holds for one set and way sit in one contiguous row: Holders
+// answers "which caches hold this line" from that row instead of probing
+// each cache. Each Cache reads and writes only its own column.
 type Cache struct {
 	geom  memory.Geometry
 	ways  int
-	sets  int
 	lines []Line // sets*ways entries, set-major
 	clock uint64
+
+	// tags is the group's shared table: tags[slot*n+id] is this cache's tag
+	// plus one for slot set*ways+way, 0 when the slot has never held a line.
+	// A tag survives invalidation, which is how invalidation misses are
+	// recognized.
+	tags []uint64
+	n    int
+	id   int
 
 	// lineShift and setMask are the geometry's index arithmetic resolved
 	// once at construction (LineSize and Sets are validated powers of two).
@@ -121,33 +128,56 @@ type Cache struct {
 	setMask   uint64
 }
 
-// New builds an empty cache with the given geometry. It panics on an invalid
-// geometry: geometry is static configuration fixed at process start, so an
-// error return would only be rethrown by every caller.
-func New(geom memory.Geometry) *Cache {
+// New builds an empty cache with the given geometry, as a group of one. It
+// panics on an invalid geometry: geometry is static configuration fixed at
+// process start, so an error return would only be rethrown by every caller.
+func New(geom memory.Geometry) *Cache { return NewGroup(geom, 1)[0] }
+
+// NewGroup builds n empty caches of one geometry that share a tag table, so
+// any of them can report which caches of the group hold a line (Holders).
+// Bit i of a holder mask is the i-th returned cache. It panics on an invalid
+// geometry or an n outside [1, memory.MaxProcs] (Holders reports holders as
+// bits of a uint64), both static configuration.
+func NewGroup(geom memory.Geometry, n int) []*Cache {
 	if err := geom.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{
-		geom:      geom,
-		ways:      geom.Ways(),
-		sets:      geom.Sets(),
-		lineShift: uint(bits.TrailingZeros64(uint64(geom.LineSize))),
-		setMask:   uint64(geom.Sets() - 1),
+	if n < 1 || n > memory.MaxProcs {
+		panic(fmt.Sprintf("cache: group of %d caches outside [1, %d]", n, memory.MaxProcs))
 	}
-	c.lines = make([]Line, c.sets*c.ways)
-	for i := range c.lines {
-		c.lines[i].InvalidatingWord = NoInvalidatingWord
+	ways, sets := geom.Ways(), geom.Sets()
+	slots := sets * ways
+	tags := make([]uint64, slots*n)
+	lines := make([]Line, slots*n)
+	for i := range lines {
+		lines[i].InvalidatingWord = NoInvalidatingWord
 	}
-	return c
+	group := make([]*Cache, n)
+	for id := range group {
+		group[id] = &Cache{
+			geom:      geom,
+			ways:      ways,
+			lines:     lines[id*slots : (id+1)*slots : (id+1)*slots],
+			tags:      tags,
+			n:         n,
+			id:        id,
+			lineShift: uint(bits.TrailingZeros64(uint64(geom.LineSize))),
+			setMask:   uint64(sets - 1),
+		}
+	}
+	return group
 }
 
 // Geometry returns the cache's geometry.
 func (c *Cache) Geometry() memory.Geometry { return c.geom }
 
-func (c *Cache) set(a memory.Addr) []Line {
-	s := int((uint64(a) >> c.lineShift) & c.setMask)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+// tagAt returns this cache's tag-table entry for slot i (tag+1, or 0).
+func (c *Cache) tagAt(i int) uint64 { return c.tags[i*c.n+c.id] }
+
+// lineAddr is the address of the first byte of the line in slot i, which
+// must hold a tag.
+func (c *Cache) lineAddr(i int) memory.Addr {
+	return memory.Addr((c.tagAt(i) - 1) << c.lineShift)
 }
 
 // Lookup returns the line whose tag matches a (valid or invalidated), or nil.
@@ -155,13 +185,34 @@ func (c *Cache) set(a memory.Addr) []Line {
 func (c *Cache) Lookup(a memory.Addr) *Line {
 	tag := uint64(a) >> c.lineShift
 	si := int(tag&c.setMask) * c.ways
-	set := c.lines[si : si+c.ways]
-	for i := range set {
-		if set[i].tagValid && set[i].Tag == tag {
-			return &set[i]
+	tag++ // the table stores tag+1
+	for w := 0; w < c.ways; w++ {
+		if c.tagAt(si+w) == tag {
+			return &c.lines[si+w]
 		}
 	}
 	return nil
+}
+
+// Holders returns the caches of c's group that hold a's tag, valid or
+// invalidated, as a bitmask: bit i is the group's i-th cache. It reads one
+// contiguous row of the tag table per way. A cache holds a line exactly when
+// its Lookup returns non-nil, so a snoop that skips the caches outside the
+// mask skips only caches it would leave unchanged.
+func (c *Cache) Holders(a memory.Addr) uint64 {
+	tag := uint64(a) >> c.lineShift
+	base := int(tag&c.setMask) * c.ways * c.n
+	tag++
+	var m uint64
+	for w := 0; w < c.ways; w++ {
+		row := c.tags[base+w*c.n : base+(w+1)*c.n]
+		for i, t := range row {
+			if t == tag {
+				m |= 1 << uint(i)
+			}
+		}
+	}
+	return m
 }
 
 // Probe looks a up and reports whether it hits (tag match with valid state).
@@ -184,85 +235,66 @@ func (c *Cache) Probe(a memory.Addr) (line *Line, hit bool) {
 // already present in the set (for example an invalidated line being
 // re-fetched), that entry is reused and Eviction.HadTag is false.
 func (c *Cache) Allocate(a memory.Addr) (*Line, Eviction) {
-	tag := c.geom.LineNumber(a)
-	set := c.set(a)
-	victim := -1
-	for i := range set {
-		if set[i].tagValid && set[i].Tag == tag {
-			victim = i
+	tag := uint64(a) >> c.lineShift
+	si := int(tag&c.setMask) * c.ways
+	tag++
+	set := c.lines[si : si+c.ways]
+	// col[w*c.n] is this cache's tag-table entry for way w of the set.
+	col := c.tags[si*c.n+c.id:]
+	victim, free := -1, -1
+	for w := range set {
+		t := col[w*c.n]
+		if t == tag {
+			victim = w
 			break
+		}
+		if t == 0 && free < 0 {
+			free = w
 		}
 	}
 	var ev Eviction
-	if victim < 0 {
-		// Prefer an untagged entry, then an invalidated one, then LRU.
-		for i := range set {
-			if !set[i].tagValid {
+	switch {
+	case victim >= 0:
+		// a's tag is already here: reuse its entry, displacing nothing.
+	case free >= 0:
+		// An entry that has never held a line.
+		victim = free
+	default:
+		// Every way holds a tag: prefer an invalidated one, then LRU.
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			vi, vb := !set[i].State.Valid(), !set[victim].State.Valid()
+			switch {
+			case vi != vb:
+				if vi {
+					victim = i
+				}
+			case set[i].lru < set[victim].lru:
 				victim = i
-				break
 			}
 		}
-		if victim < 0 {
-			for i := range set {
-				if victim < 0 {
-					victim = i
-					continue
-				}
-				vi, vb := !set[i].State.Valid(), !set[victim].State.Valid()
-				switch {
-				case vi != vb:
-					if vi {
-						victim = i
-					}
-				case set[i].lru < set[victim].lru:
-					victim = i
-				}
-			}
-		}
-		if set[victim].tagValid {
-			ev = Eviction{
-				LineAddr:         memory.Addr(set[victim].Tag) * memory.Addr(c.geom.LineSize),
-				HadTag:           true,
-				State:            set[victim].State,
-				PrefetchedUnused: set[victim].PrefetchedUnused,
-			}
+		ev = Eviction{
+			LineAddr:         memory.Addr((col[victim*c.n] - 1) << c.lineShift),
+			HadTag:           true,
+			State:            set[victim].State,
+			PrefetchedUnused: set[victim].PrefetchedUnused,
 		}
 	}
 	l := &set[victim]
 	c.clock++
-	*l = Line{Tag: tag, tagValid: true, lru: c.clock, InvalidatingWord: NoInvalidatingWord}
+	*l = Line{lru: c.clock, InvalidatingWord: NoInvalidatingWord}
+	col[victim*c.n] = tag
 	return l, ev
 }
 
-// Snoop applies a coherence-protocol transition to the line containing a, if
-// this cache holds it valid, and returns the line's prior state (Invalid when
-// it did not hold the line). next maps the held state to its post-snoop
-// state; internal/coherence supplies it per protocol and bus operation. When
-// the transition invalidates the line, the tag and word-access history are
-// kept and word is recorded as the invalidating word for false-sharing
-// classification (pass NoInvalidatingWord when no specific word applies).
-func (c *Cache) Snoop(a memory.Addr, word int, next func(State) State) State {
-	l := c.Lookup(a)
-	if l == nil || !l.State.Valid() {
-		return Invalid
-	}
-	prior := l.State
-	l.State = next(prior)
-	if l.State == Invalid {
-		if word >= 0 && word < 64 {
-			l.InvalidatingWord = int8(word)
-		} else {
-			l.InvalidatingWord = NoInvalidatingWord
-		}
-	}
-	return prior
-}
-
-// SnoopTable is Snoop with the transition supplied as a dense state table
-// instead of a function: next[s] is the post-snoop state of a copy held in
-// state s. It is the simulation kernel's hot snoop path — a table lookup
-// instead of an indirect call per resident copy — and is otherwise identical
-// to Snoop, including the invalidating-word bookkeeping.
+// SnoopTable applies a coherence-protocol transition to the line containing
+// a, if this cache holds it valid, and returns the line's prior state
+// (Invalid when it did not hold the line). next[s] is the post-snoop state of
+// a copy held in state s; internal/coherence supplies the tables per protocol
+// and bus operation. When the transition invalidates the line, the tag and
+// word-access history are kept and word is recorded as the invalidating word
+// for false-sharing classification (pass NoInvalidatingWord when no specific
+// word applies).
 func (c *Cache) SnoopTable(a memory.Addr, word int, next *[NumStates]State) State {
 	l := c.Lookup(a)
 	if l == nil || !l.State.Valid() {
@@ -280,6 +312,13 @@ func (c *Cache) SnoopTable(a memory.Addr, word int, next *[NumStates]State) Stat
 	return prior
 }
 
+// invalidateAll and readDowngrade are the write-invalidate snoop
+// transitions shared by Illinois and MSI, as SnoopTable tables. Read-only.
+var (
+	invalidateAll [NumStates]State
+	readDowngrade = [NumStates]State{Shared: Shared, Exclusive: Shared, Modified: Shared, SharedMod: SharedMod}
+)
+
 // SnoopInvalidate handles a remote write (or read-for-ownership or exclusive
 // prefetch) under a write-invalidate protocol: if this cache holds the line
 // containing a, it is invalidated in place — the tag is kept, word-access
@@ -287,7 +326,7 @@ func (c *Cache) SnoopTable(a memory.Addr, word int, next *[NumStates]State) Stat
 // classification. It returns the line's prior state (Invalid if the cache
 // did not hold it).
 func (c *Cache) SnoopInvalidate(a memory.Addr, word int) State {
-	return c.Snoop(a, word, func(State) State { return Invalid })
+	return c.SnoopTable(a, word, &invalidateAll)
 }
 
 // SnoopRead handles a remote read of the line containing a under a
@@ -295,12 +334,7 @@ func (c *Cache) SnoopInvalidate(a memory.Addr, word int) State {
 // downgraded to Shared; in the Illinois protocol the holding cache also
 // supplies the data. It returns the prior state.
 func (c *Cache) SnoopRead(a memory.Addr) State {
-	return c.Snoop(a, NoInvalidatingWord, func(s State) State {
-		if s == Exclusive || s == Modified {
-			return Shared
-		}
-		return s
-	})
+	return c.SnoopTable(a, NoInvalidatingWord, &readDowngrade)
 }
 
 // HoldsValid reports whether the cache currently holds a valid copy of the
@@ -324,8 +358,8 @@ func (c *Cache) StateOf(a memory.Addr) State {
 // state. Used by invariant checks and utilization reports.
 func (c *Cache) ForEachValid(fn func(la memory.Addr, st State)) {
 	for i := range c.lines {
-		if c.lines[i].tagValid && c.lines[i].State.Valid() {
-			fn(memory.Addr(c.lines[i].Tag)*memory.Addr(c.geom.LineSize), c.lines[i].State)
+		if c.lines[i].State.Valid() {
+			fn(c.lineAddr(i), c.lines[i].State)
 		}
 	}
 }
@@ -334,7 +368,7 @@ func (c *Cache) ForEachValid(fn func(la memory.Addr, st State)) {
 func (c *Cache) ValidLines() int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].tagValid && c.lines[i].State.Valid() {
+		if c.lines[i].State.Valid() {
 			n++
 		}
 	}

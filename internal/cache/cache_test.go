@@ -90,7 +90,7 @@ func TestSnoopInvalidateKeepsTagAndRecordsWord(t *testing.T) {
 	if got == nil || got.State != Invalid {
 		t.Fatal("line lost or still valid after invalidation")
 	}
-	if !got.HasTag() {
+	if c.Holders(0x40) != 1 {
 		t.Error("invalidation dropped the tag (invalidation misses undetectable)")
 	}
 	if got.InvalidatingWord != 5 {

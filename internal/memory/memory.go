@@ -10,6 +10,12 @@ type Addr uint64
 // operates at word granularity.
 const WordSize = 4
 
+// MaxProcs is the most processors a simulated machine has. A cache group's
+// holder masks and the bus's per-class queue masks are one uint64 each, so
+// the simulator, the bus, the cache group, the trace codec and the workload
+// generators all bound the processor count here.
+const MaxProcs = 64
+
 // Geometry describes a cache's shape. The paper's experiments all use a
 // direct-mapped 32 KB cache with 32-byte lines; associativity is kept so the
 // PWS temporal-locality filter (16-line fully associative) can reuse the same

@@ -25,7 +25,16 @@ func (r Regression) String() string {
 // reference are skipped — scheduler noise dominates sub-threshold timings —
 // and cells present in only one report are ignored (the suite's shape
 // changed; that is a golden-file concern, not a perf one).
-func CompareCells(ref, cur *BenchReport, tolerance, minMillis float64) []Regression {
+//
+// It refuses, with an error, two reports recorded with different Workers or
+// GOMAXPROCS: a cell's wall clock includes the time it waited for a CPU
+// while other workers ran, so across pool shapes the per-cell ratios
+// measure time-slicing, not the code.
+func CompareCells(ref, cur *BenchReport, tolerance, minMillis float64) ([]Regression, error) {
+	if ref.Workers != cur.Workers || ref.GOMAXPROCS != cur.GOMAXPROCS {
+		return nil, fmt.Errorf("runner: bench reports not comparable: reference ran %d workers on GOMAXPROCS %d, current %d on %d",
+			ref.Workers, ref.GOMAXPROCS, cur.Workers, cur.GOMAXPROCS)
+	}
 	refBy := make(map[string]float64, len(ref.Cells))
 	for _, c := range ref.Cells {
 		refBy[c.Cell] = c.Millis
@@ -47,5 +56,5 @@ func CompareCells(ref, cur *BenchReport, tolerance, minMillis float64) []Regress
 		}
 		return regs[i].Cell < regs[j].Cell
 	})
-	return regs
+	return regs, nil
 }

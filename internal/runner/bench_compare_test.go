@@ -7,7 +7,17 @@ import (
 )
 
 func report(cells ...CellTime) *BenchReport {
-	return &BenchReport{Schema: BenchSchema, Cells: cells}
+	return &BenchReport{Schema: BenchSchema, Workers: 2, GOMAXPROCS: 2, Cells: cells}
+}
+
+// compare is CompareCells for reports the test built comparable.
+func compare(t *testing.T, ref, cur *BenchReport, tolerance, minMillis float64) []Regression {
+	t.Helper()
+	regs, err := CompareCells(ref, cur, tolerance, minMillis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regs
 }
 
 func TestCompareCells(t *testing.T) {
@@ -23,7 +33,7 @@ func TestCompareCells(t *testing.T) {
 		CellTime{"tiny", 50}, // 10x, but below the noise floor
 		CellTime{"new", 999}, // no reference: ignored
 	)
-	regs := CompareCells(ref, cur, 0.10, 50)
+	regs := compare(t, ref, cur, 0.10, 50)
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions %v, want exactly the 'b' cell", len(regs), regs)
 	}
@@ -42,7 +52,7 @@ func TestCompareCells(t *testing.T) {
 func TestCompareCellsOrdersWorstFirst(t *testing.T) {
 	ref := report(CellTime{"x", 100}, CellTime{"y", 100}, CellTime{"z", 100})
 	cur := report(CellTime{"x", 150}, CellTime{"y", 300}, CellTime{"z", 150})
-	regs := CompareCells(ref, cur, 0.10, 50)
+	regs := compare(t, ref, cur, 0.10, 50)
 	if len(regs) != 3 {
 		t.Fatalf("got %d regressions, want 3", len(regs))
 	}
@@ -56,19 +66,39 @@ func TestCompareCellsOrdersWorstFirst(t *testing.T) {
 
 func TestCompareCellsNoRegressions(t *testing.T) {
 	ref := report(CellTime{"a", 100})
-	if regs := CompareCells(ref, report(CellTime{"a", 90}), 0.10, 50); regs != nil {
+	if regs := compare(t, ref, report(CellTime{"a", 90}), 0.10, 50); regs != nil {
 		t.Errorf("faster run reported regressions: %v", regs)
 	}
 }
 
+// TestCompareCellsRefusesMismatchedReports pins the refusal: reports from
+// different pool widths or GOMAXPROCS are an error, not a gate result, even
+// when the cells would pass.
+func TestCompareCellsRefusesMismatchedReports(t *testing.T) {
+	ref := report(CellTime{"a", 100})
+	for _, cur := range []*BenchReport{
+		{Schema: BenchSchema, Workers: 8, GOMAXPROCS: 2, Cells: ref.Cells},
+		{Schema: BenchSchema, Workers: 2, GOMAXPROCS: 1, Cells: ref.Cells},
+	} {
+		regs, err := CompareCells(ref, cur, 0.10, 50)
+		if err == nil {
+			t.Errorf("workers %d GOMAXPROCS %d: compared against 2/2 without error", cur.Workers, cur.GOMAXPROCS)
+		}
+		if regs != nil {
+			t.Errorf("refused comparison returned regressions %v", regs)
+		}
+	}
+}
+
 // TestBenchAgainstReference gates the live perf check: record a fresh report
-// with
+// with the same pool shape as the checked-in BENCH_suite.json,
 //
-//	go run ./cmd/mkfigures -scale 1 -jobs 8 -bench-out /tmp/bench_new.json -q
+//	GOMAXPROCS=2 go run ./cmd/mkfigures -scale 1 -jobs 2 -bench-out /tmp/bench_new.json -q
 //	BUSPREFETCH_BENCH_NEW=/tmp/bench_new.json go test ./internal/runner -run TestBenchAgainstReference
 //
-// and every cell's wall clock must stay within 10% of the checked-in
-// BENCH_suite.json reference. Wall-clock comparisons are only meaningful on a
+// and every cell's wall clock must stay within 10% of the reference. A
+// report recorded with other workers or GOMAXPROCS fails the test rather
+// than being compared. Wall-clock comparisons are only meaningful on a
 // quiet machine, so the test skips unless pointed at a fresh report.
 func TestBenchAgainstReference(t *testing.T) {
 	newPath := os.Getenv("BUSPREFETCH_BENCH_NEW")
@@ -85,7 +115,10 @@ func TestBenchAgainstReference(t *testing.T) {
 	}
 	// 100ms floor: below that, scheduler jitter on a loaded runner swamps
 	// any real signal.
-	regs := CompareCells(ref, cur, 0.10, 100)
+	regs, err := CompareCells(ref, cur, 0.10, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range regs {
 		t.Errorf("cell regressed beyond 10%%: %s", r)
 	}

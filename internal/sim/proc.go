@@ -148,11 +148,13 @@ type proc struct {
 	finished  bool
 }
 
-func newProc(s *simulator, id int) *proc {
+// newProc builds processor id around its data cache c, one of the machine's
+// cache group.
+func newProc(s *simulator, id int, c *cache.Cache) *proc {
 	p := &proc{
 		s:      s,
 		id:     id,
-		cache:  cache.New(s.cfg.Geometry),
+		cache:  c,
 		wasted: make(map[memory.Addr]bool),
 		held:   make(map[memory.Addr]bool),
 		online: s.cfg.Online.NewEngine(s.cfg.Geometry),
@@ -584,7 +586,7 @@ func (p *proc) classifyMiss(line *cache.Line, la memory.Addr) {
 		return
 	}
 	p.missCounted = true
-	inval := line != nil && line.HasTag() && !line.State.Valid()
+	inval := line != nil && !line.State.Valid()
 	var prefd, falseSharing bool
 	if inval {
 		prefd = line.PrefetchedUnused

@@ -538,8 +538,8 @@ func checkProcs(n int) error {
 	if n == 0 {
 		return fmt.Errorf("sim: trace has no processors")
 	}
-	if n > 64 {
-		return fmt.Errorf("sim: %d processors exceeds the 64-processor limit", n)
+	if n > memory.MaxProcs {
+		return fmt.Errorf("sim: %d processors exceeds the %d-processor limit", n, memory.MaxProcs)
 	}
 	return nil
 }
@@ -856,9 +856,10 @@ func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 			rec.BusOccupiedLink(link, grant, occupancy, op.String(), class.String(), proc)
 		})
 	}
+	caches := cache.NewGroup(cfg.Geometry, nprocs)
 	s.procs = make([]*proc, nprocs)
 	for i := range s.procs {
-		s.procs[i] = newProc(s, i)
+		s.procs[i] = newProc(s, i, caches[i])
 	}
 	return s, nil
 }
@@ -963,22 +964,44 @@ func (s *simulator) snoopFetch(now uint64, requester int, la memory.Addr, excl b
 	if excl {
 		next, w = &s.tab.snoopWrite, word
 	}
-	for _, p := range s.procs {
-		if p.id == requester {
-			continue
-		}
+	for h := s.remoteHolders(requester, la); h != 0; h &= h - 1 {
+		p := s.procs[bits.TrailingZeros64(h)]
 		if p.cache.SnoopTable(la, w, next) != cache.Invalid {
 			sharers = true
 			if s.rec != nil {
 				s.observeSnoopKill(now, p, la)
 			}
 		}
-		if p.victim != nil && p.victim.SnoopTable(la, w, next) != cache.Invalid {
+	}
+	return s.snoopOutsideGroup(now, requester, la, w, next) || sharers
+}
+
+// remoteHolders returns the processors other than requester whose data
+// caches hold la's tag. A data cache outside this mask has no copy for a
+// snoop to change, so the snoops visit only these.
+func (s *simulator) remoteHolders(requester int, la memory.Addr) uint64 {
+	return s.procs[requester].cache.Holders(la) &^ (1 << uint(requester))
+}
+
+// snoopOutsideGroup applies a remote bus operation to the per-processor
+// structures the data caches' group does not cover, and reports whether a
+// victim cache held a valid copy. A victim cache takes the same transition
+// as the data cache. The non-snooping prefetch buffer cannot track the line
+// once another processor acts on it — even a read fill may enter
+// private-clean and be written silently later, and an update has no way to
+// fold the new word in — so any remote operation drops the entry. A run with
+// neither structure skips the loop.
+func (s *simulator) snoopOutsideGroup(now uint64, requester int, la memory.Addr, word int, next *[cache.NumStates]cache.State) (sharers bool) {
+	if s.cfg.VictimCacheLines <= 0 && s.cfg.PrefetchTarget != PrefetchToBuffer {
+		return false
+	}
+	for _, p := range s.procs {
+		if p.id == requester {
+			continue
+		}
+		if p.victim != nil && p.victim.SnoopTable(la, word, next) != cache.Invalid {
 			sharers = true
 		}
-		// The non-snooping prefetch buffer cannot track the line once another
-		// processor fetches it — even a read fill may enter private-clean and
-		// be written silently later — so any remote fill drops the entry.
 		p.dropBuffered(la, now)
 	}
 	return sharers
@@ -998,42 +1021,30 @@ func (s *simulator) observeSnoopKill(now uint64, p *proc, la memory.Addr) {
 // snoopInvalidate broadcasts an upgrade's invalidation: remote copies take
 // the protocol's SnoopWrite transition.
 func (s *simulator) snoopInvalidate(now uint64, requester int, la memory.Addr, word int) {
-	for _, p := range s.procs {
-		if p.id != requester {
-			if p.cache.SnoopTable(la, word, &s.tab.snoopWrite) != cache.Invalid {
-				if s.rec != nil {
-					s.observeSnoopKill(now, p, la)
-				}
-			}
-			if p.victim != nil {
-				p.victim.SnoopTable(la, word, &s.tab.snoopWrite)
-			}
-			p.dropBuffered(la, now)
+	for h := s.remoteHolders(requester, la); h != 0; h &= h - 1 {
+		p := s.procs[bits.TrailingZeros64(h)]
+		if p.cache.SnoopTable(la, word, &s.tab.snoopWrite) != cache.Invalid && s.rec != nil {
+			s.observeSnoopKill(now, p, la)
 		}
 	}
+	s.snoopOutsideGroup(now, requester, la, word, &s.tab.snoopWrite)
 }
 
 // snoopUpdate broadcasts a word-update: every remote valid copy absorbs the
 // written word via the protocol's SnoopUpdate transition and stays resident.
-// It reports whether any remote data cache still holds the line, which
-// decides whether the writer remains the update-owner (more broadcasts to
-// come) or takes the line exclusive. The non-snooping prefetch buffer still
-// drops its entry — it has no way to fold the new word in.
+// It reports whether any remote data or victim cache still holds the line,
+// which decides whether the writer remains the update-owner (more broadcasts
+// to come) or takes the line exclusive.
 func (s *simulator) snoopUpdate(now uint64, requester int, la memory.Addr) (sharers bool) {
-	for _, p := range s.procs {
-		if p.id == requester {
-			continue
-		}
-		if p.cache.SnoopTable(la, int(cache.NoInvalidatingWord), &s.tab.snoopUpdate) != cache.Invalid {
+	w := int(cache.NoInvalidatingWord)
+	for h := s.remoteHolders(requester, la); h != 0; h &= h - 1 {
+		p := s.procs[bits.TrailingZeros64(h)]
+		if p.cache.SnoopTable(la, w, &s.tab.snoopUpdate) != cache.Invalid {
 			sharers = true
 			s.c.UpdatesReceived++
 		}
-		if p.victim != nil && p.victim.SnoopTable(la, int(cache.NoInvalidatingWord), &s.tab.snoopUpdate) != cache.Invalid {
-			sharers = true
-		}
-		p.dropBuffered(la, now)
 	}
-	return sharers
+	return s.snoopOutsideGroup(now, requester, la, w, &s.tab.snoopUpdate) || sharers
 }
 
 // releaseLock hands the lock to the next FCFS waiter, if any, at time now.

@@ -42,8 +42,6 @@ const (
 
 	// maxNameLen bounds the workload-name field.
 	maxNameLen = 1 << 20
-	// maxCodecProcs mirrors the simulator's 64-processor limit.
-	maxCodecProcs = 64
 	// maxStreamEvents bounds one processor's event count. The cap exists so
 	// a corrupt or hostile count cannot drive allocation; real traces are
 	// orders of magnitude smaller.
@@ -95,8 +93,8 @@ func Encode(w io.Writer, t *Trace) error {
 	if len(t.Name) > maxNameLen {
 		return fmt.Errorf("trace: name of %d bytes exceeds the %d-byte limit", len(t.Name), maxNameLen)
 	}
-	if len(t.Streams) > maxCodecProcs {
-		return fmt.Errorf("trace: %d processors exceeds the %d-processor limit", len(t.Streams), maxCodecProcs)
+	if len(t.Streams) > memory.MaxProcs {
+		return fmt.Errorf("trace: %d processors exceeds the %d-processor limit", len(t.Streams), memory.MaxProcs)
 	}
 	for p, s := range t.Streams {
 		if len(s) > maxStreamEvents {
@@ -194,8 +192,8 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading processor count: %w", err)
 	}
-	if procs > maxCodecProcs {
-		return nil, fmt.Errorf("trace: %d processors exceeds the %d-processor limit", procs, maxCodecProcs)
+	if procs > memory.MaxProcs {
+		return nil, fmt.Errorf("trace: %d processors exceeds the %d-processor limit", procs, memory.MaxProcs)
 	}
 	t := &Trace{Name: string(name), Streams: make([]Stream, procs)}
 	for p := range t.Streams {

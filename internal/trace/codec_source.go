@@ -48,8 +48,8 @@ func DecodeSource(r io.Reader) (Source, error) {
 	if !ok {
 		return nil, fmt.Errorf("trace: reading processor count: %w", io.ErrUnexpectedEOF)
 	}
-	if procs > maxCodecProcs {
-		return nil, fmt.Errorf("trace: %d processors exceeds the %d-processor limit", procs, maxCodecProcs)
+	if procs > memory.MaxProcs {
+		return nil, fmt.Errorf("trace: %d processors exceeds the %d-processor limit", procs, memory.MaxProcs)
 	}
 	src := &decodedSource{name: string(name), streams: make([]decodedStream, procs)}
 	for p := range src.streams {

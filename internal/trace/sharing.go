@@ -9,7 +9,7 @@ import (
 // LineUse summarizes how one cache line is used across the whole trace.
 type LineUse struct {
 	// Readers and Writers are bitmasks of processor indices (processor p is
-	// bit p). Traces in this repository never exceed 64 processors.
+	// bit p). Traces never exceed memory.MaxProcs processors.
 	Readers uint64
 	Writers uint64
 }

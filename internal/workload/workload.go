@@ -86,8 +86,8 @@ func (w *Workload) planFor(p Params) (Params, procPlan, Info, error) {
 	if p.Scale <= 0 {
 		return p, nil, Info{}, fmt.Errorf("workload %s: scale %v must be positive", w.Name, p.Scale)
 	}
-	if p.Procs < 2 || p.Procs > 64 {
-		return p, nil, Info{}, fmt.Errorf("workload %s: procs %d outside [2, 64]", w.Name, p.Procs)
+	if p.Procs < 2 || p.Procs > memory.MaxProcs {
+		return p, nil, Info{}, fmt.Errorf("workload %s: procs %d outside [2, %d]", w.Name, p.Procs, memory.MaxProcs)
 	}
 	if err := p.Geometry.Validate(); err != nil {
 		return p, nil, Info{}, fmt.Errorf("workload %s: %w", w.Name, err)
